@@ -707,6 +707,8 @@ class Store:
 
     def _decode_join(self, id_ds: rd.Dataset) -> rd.Dataset:
         """Hash-join decode for dictionaries too large to broadcast."""
+        from de_ray.functions.joins import drop_schemaless_empties, empty_table_factory
+
         nparts = max(2, min(32, int(ray.cluster_resources().get("CPU", 4)) - 1))
         glist = pa.array(self.graph_list(), pa.large_string())
 
@@ -716,10 +718,9 @@ class Store:
         }
 
         def _norm_to(schema: Dict[str, pa.DataType]):
-            # 0-row blocks (parquet filter fragments, empty join partitions)
-            # can carry an EMPTY schema, breaking hash-join key resolution —
-            # rebuild them with the expected columns. Also resolves g_id →
-            # graph string and widens int32 ids to the join key type.
+            # Resolves g_id → graph string and widens int32 ids to the join
+            # key type; 0-row blocks that reach the UDF are rebuilt with the
+            # expected columns.
             def norm(t: pa.Table) -> pa.Table:
                 if t.num_rows == 0 or (
                     set(schema) - set(t.column_names) - {"graph"}
@@ -738,7 +739,13 @@ class Store:
 
             return norm
 
-        id_ds = id_ds.map_batches(_norm_to(id_schema), batch_format="pyarrow")
+        # map_batches skips SCHEMA-LESS 0-row blocks (a multi-part scan
+        # whose filter empties some parts yields them), and they break the
+        # first join's key resolution — drop them like each join's output
+        id_ds = drop_schemaless_empties(
+            id_ds.map_batches(_norm_to(id_schema), batch_format="pyarrow"),
+            empty_table_factory(id_schema),
+        )
         space_secs = {
             ("s_id", "subj"): [SECTION_SHARED, SECTION_SUBJECT],
             ("p_id", "pred"): [SECTION_PREDICATE],
@@ -774,8 +781,6 @@ class Store:
             cur_schema[name] = pa.large_string()
             # a join's empty output partitions are SCHEMA-LESS blocks that
             # crash the next chained join — drop them by metadata
-            from de_ray.functions.joins import drop_schemaless_empties, empty_table_factory
-
             out = drop_schemaless_empties(out, empty_table_factory(dict(cur_schema)))
             # one aggregator pool at a time: a streamed chain of hash joins
             # deadlocks Ray 2.49's executor at scale (same pathology as
@@ -872,10 +877,13 @@ class Store:
                 {c: t.column(c).cast(ty) for c, ty in base.items()}
             )
 
-        # materialize before the join chain (consistent with the per-join
-        # materializes below); a globally-empty left side would surface as
-        # schema-less partitions inside Ray's hash-join finalize
-        out = ds.map_batches(widen, batch_format="pyarrow").materialize()
+        # widen does not run on SCHEMA-LESS 0-row blocks, which break the
+        # first join's key resolution: drop them (this also materializes,
+        # like the per-join drops below); a globally-empty left side would
+        # surface as schema-less partitions inside Ray's hash-join finalize
+        out = drop_schemaless_empties(
+            ds.map_batches(widen, batch_format="pyarrow"), empty_table_factory(base)
+        )
         if out.count() == 0:
             return rd.from_arrow(
                 pa.table(

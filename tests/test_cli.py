@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-RES = "/root/reference/tests/resources"
+from conftest import RES
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 

@@ -8,7 +8,8 @@ from de_ray.hdt.dictionary import pack_front_coded, unpack_front_coded
 from de_ray.rdfio import read_rdf
 from de_ray.hdt.store import Store, view, write_store
 
-RES = "/root/reference/tests/resources"
+from conftest import REFERENCE_RES, RES, needs_reference
+
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
 
@@ -20,9 +21,19 @@ def apple_store(tmp_path_factory):
     return out
 
 
-def test_header_matches_apple_hdt(apple_store):
+@pytest.fixture(scope="module")
+def reference_apple_store(tmp_path_factory):
+    """Store over the upstream apple.ttl, whose apple.hdt header and 9-triple
+    shape (FIXTURES.md §5) the tests below assert."""
+    out = str(tmp_path_factory.mktemp("store") / "reference_apple")
+    write_store(read_rdf([f"{REFERENCE_RES}/apple.ttl"]), out)
+    return out
+
+
+@needs_reference("apple.ttl")
+def test_header_matches_apple_hdt(reference_apple_store):
     """Stats must match the reference apple.hdt header values exactly."""
-    h = view(apple_store)
+    h = view(reference_apple_store)
     assert h["void:triples"] == 9
     assert h["void:properties"] == 7
     assert h["numSharedSubjectObject"] == 1  # ex:Fruit is subject AND object
@@ -42,8 +53,9 @@ def test_shared_section_id_semantics(apple_store):
     assert apple_id == 2  # shared IDs precede subject-only IDs
 
 
-def test_dictionary_ids_dense_and_sorted(apple_store):
-    st = Store(apple_store)
+@needs_reference("apple.ttl")
+def test_dictionary_ids_dense_and_sorted(reference_apple_store):
+    st = Store(reference_apple_store)
     m = st.id_maps()
     # predicate space dense 1..7, lexicographic by term
     preds = sorted(m["pred"].items(), key=lambda kv: kv[1])
@@ -51,8 +63,9 @@ def test_dictionary_ids_dense_and_sorted(apple_store):
     assert [t for t, _ in preds] == sorted(t for t, _ in preds)
 
 
-def test_pattern_scans(apple_store):
-    st = Store(apple_store)
+@needs_reference("apple.ttl")
+def test_pattern_scans(reference_apple_store):
+    st = Store(reference_apple_store)
     rows = st.pattern_scan(p="http://example.org/hasColor").take_all()
     assert [(r["subj"], r["obj"]) for r in rows] == [("http://example.org/Apple", '"Red"')]
     # bound subject+predicate
@@ -76,10 +89,11 @@ def test_raw_equals_store_roundtrip(apple_store):
     assert got == raw
 
 
+@needs_reference("apple.ttl", "banana.nt")
 def test_union_two_files_dedups(tmp_path):
     """Combined store over two files answers without dupes (reference
     tests/test-commands.rs:256-326 semantics)."""
-    ds = read_rdf([f"{RES}/apple.ttl", f"{RES}/banana.nt"])
+    ds = read_rdf([f"{REFERENCE_RES}/apple.ttl", f"{REFERENCE_RES}/banana.nt"])
     out = str(tmp_path / "combined")
     h = write_store(ds, out)
     assert h["void:triples"] == 21
@@ -105,10 +119,11 @@ def test_front_coding_roundtrip():
     assert len(packed) < raw  # actually compresses
 
 
-def test_adjacency_segments(apple_store):
+@needs_reference("apple.ttl")
+def test_adjacency_segments(reference_apple_store):
     import pyarrow.parquet as pq
 
-    t = pq.read_table(os.path.join(apple_store, "adjacency"))
+    t = pq.read_table(os.path.join(reference_apple_store, "adjacency"))
     assert t.num_rows >= 1
     n = sum(t.column("n_triples").to_pylist())
     assert n == 9

@@ -7,7 +7,7 @@ from de_ray.query.parser import Var, parse_query
 from de_ray.query.serialize import serialize_result
 from de_ray.rdfio import read_rdf
 
-RES = "/root/reference/tests/resources"
+from conftest import REFERENCE_RES, RES, needs_reference
 
 
 def _read(p):
@@ -21,6 +21,17 @@ def pineapple_store(tmp_path_factory):
 
     out = str(tmp_path_factory.mktemp("q") / "pineapple")
     write_store(read_rdf([f"{RES}/pineapple.ttl"]), out)
+    return Store(out)
+
+
+@pytest.fixture(scope="module")
+def reference_pineapple_store(tmp_path_factory):
+    """Store over the upstream pineapple.ttl, whose price ("$2.50") and
+    vitamin (ex:VitaminC) differ from FIXTURES.md §3."""
+    from de_ray.hdt.store import Store, write_store
+
+    out = str(tmp_path_factory.mktemp("q") / "reference_pineapple")
+    write_store(read_rdf([f"{REFERENCE_RES}/pineapple.ttl"]), out)
     return Store(out)
 
 
@@ -106,8 +117,9 @@ def test_raw_dataset_source_equivalence(pineapple_store):
     assert serialize_result(raw, "csv") == serialize_result(store, "csv")
 
 
-def test_ask_and_filters(pineapple_store):
-    src = StoreSource(pineapple_store)
+@needs_reference("pineapple.ttl")
+def test_ask_and_filters(reference_pineapple_store):
+    src = StoreSource(reference_pineapple_store)
     yes = evaluate(parse_query(
         'PREFIX ex: <http://example.org/> ASK { ?f ex:hasColor "yellow" }'), src)
     no = evaluate(parse_query(
@@ -148,12 +160,13 @@ def test_construct(pineapple_store):
     assert out == '<http://example.org/Pineapple> <http://example.org/colour> "yellow" .'
 
 
-def test_union(pineapple_store):
+@needs_reference("pineapple.ttl")
+def test_union(reference_pineapple_store):
     q = parse_query(
         "PREFIX ex: <http://example.org/> SELECT ?x WHERE "
         "{ { ?x ex:hasColor \"yellow\" } UNION { ?x ex:hasVitamin ex:VitaminC } }"
     )
-    res = evaluate(q, StoreSource(pineapple_store))
+    res = evaluate(q, StoreSource(reference_pineapple_store))
     xs = [r["x"] for r in res.ds.take_all()]
     assert xs.count("http://example.org/Pineapple") == 2
 

@@ -12,7 +12,7 @@ import pytest
 from de_ray.rdfio.ntriples import format_nt_line, parse_nt_line, parse_nt_text
 from de_ray.rdfio.turtle import parse_turtle
 
-RES = "/root/reference/tests/resources"
+from conftest import REFERENCE_RES, RES
 
 
 def _read(p):
@@ -46,9 +46,9 @@ def test_parse_nquads_drops_graph():
     assert t == ("http://a/s", "http://a/p", "http://a/o")
 
 
-@pytest.mark.skipif(not os.path.exists(RES), reason="reference fixtures absent")
+@pytest.mark.skipif(not os.path.exists(REFERENCE_RES), reason="reference fixtures absent")
 def test_banana_nt_fixture():
-    triples = parse_nt_text(_read(f"{RES}/banana.nt"))
+    triples = parse_nt_text(_read(f"{REFERENCE_RES}/banana.nt"))
     assert len(triples) == 12
     assert (
         "http://example.org/Banana",
@@ -57,20 +57,42 @@ def test_banana_nt_fixture():
     ) in triples
 
 
-@pytest.mark.skipif(not os.path.exists(RES), reason="reference fixtures absent")
+@pytest.mark.skipif(not os.path.exists(REFERENCE_RES), reason="reference fixtures absent")
 def test_banana_ttl_equals_banana_nt():
-    nt = set(parse_nt_text(_read(f"{RES}/banana.nt")))
-    ttl = set(parse_turtle(_read(f"{RES}/banana.ttl")))
+    nt = set(parse_nt_text(_read(f"{REFERENCE_RES}/banana.nt")))
+    ttl = set(parse_turtle(_read(f"{REFERENCE_RES}/banana.ttl")))
     assert ttl == nt
 
 
-@pytest.mark.skipif(not os.path.exists(RES), reason="reference fixtures absent")
+@pytest.mark.skipif(not os.path.exists(REFERENCE_RES), reason="reference fixtures absent")
 def test_apple_ttl():
-    triples = parse_turtle(_read(f"{RES}/apple.ttl"))
+    triples = parse_turtle(_read(f"{REFERENCE_RES}/apple.ttl"))
     assert len(triples) == 9  # void:triples "9" in apple.hdt header
     d = {(s, p): o for s, p, o in triples}
     assert d[("http://example.org/Apple", "http://www.w3.org/1999/02/22-rdf-syntax-ns#type")] == "http://example.org/Fruit"
     assert d[("http://example.org/Apple", "http://example.org/isOrganic")] == '"true"^^<http://www.w3.org/2001/XMLSchema#boolean>'
+
+
+def test_in_repo_corpus_follows_fixtures_spec():
+    """tests/resources is the FIXTURES.md §3 corpus: every fruit has the same
+    12-triple shape with its documented colour, and banana.ttl ≡ banana.nt."""
+    ex = "http://example.org/"
+    colors = {"apple.ttl": "Red", "banana.ttl": "yellow", "pineapple.ttl": "yellow"}
+    shapes = set()
+    for name, color in colors.items():
+        triples = parse_turtle(_read(f"{RES}/{name}"))
+        assert len(triples) == 12, name
+        fruit = ex + name[:-4].capitalize()
+        d = {(s, p): o for s, p, o in triples}
+        assert d[(fruit, ex + "hasColor")] == f'"{color}"'
+        assert d[(fruit, ex + "hasVitamin")] == ex + "VitaminB6"
+        assert d[(fruit, ex + "isEdible")] == (
+            '"true"^^<http://www.w3.org/2001/XMLSchema#boolean>'
+        )
+        shapes.add(frozenset(p for s, p, _o in triples if s == fruit))
+    assert len(shapes) == 1
+    nt = set(parse_nt_text(_read(f"{RES}/banana.nt")))
+    assert set(parse_turtle(_read(f"{RES}/banana.ttl"))) == nt
 
 
 def test_nt_roundtrip_bytes():

@@ -10,7 +10,8 @@ from de_ray.query.engine import evaluate
 from de_ray.query.parser import parse_query
 from de_ray.rdfio import read_rdf
 
-RES = "/root/reference/tests/resources"
+from conftest import RES
+
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
 

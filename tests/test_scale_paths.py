@@ -8,7 +8,7 @@ import ray.data as rd
 
 from de_ray.rdfio import read_rdf
 
-RES = "/root/reference/tests/resources"
+from conftest import RES
 
 
 def test_join_encode_matches_broadcast(tmp_path):

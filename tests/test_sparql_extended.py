@@ -10,7 +10,8 @@ from de_ray.query.parser import parse_query
 from de_ray.rdfio import read_rdf
 from de_ray.rdfio.ntriples import parse_nt_line
 
-RES = "/root/reference/tests/resources"
+from conftest import RES
+
 EX = "PREFIX ex: <http://example.org/> "
 
 

@@ -9,7 +9,7 @@ from de_ray.hdt.merge import merge_stores
 from de_ray.hdt.store import Store, write_store
 from de_ray.rdfio import read_rdf
 
-RES = "/root/reference/tests/resources"
+from conftest import RES
 
 STAT_KEYS = (
     "void:triples",
@@ -102,7 +102,7 @@ def test_diff_distributed_remap_path(stores):
     assert delta == _decoded(f"{stores}/b")
 
 
-def test_merge_promotes_section(stores, tmp_path):
+def test_merge_promotes_section(tmp_path):
     """A term that is subject-only in one store and object-only in the
     other must land in the SHARED section of the merged dictionary (the
     role-union step HDTCat's dictionary merge performs)."""
